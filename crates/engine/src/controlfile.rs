@@ -99,6 +99,11 @@ pub struct ControlFile {
     pub last_scn: Scn,
     /// Incarnation number; bumped by every `open resetlogs`.
     pub incarnation: u32,
+    /// Redo address each crash-recovery open resumed writing at, oldest
+    /// first. Crash recovery rolls its losers back without writing redo,
+    /// so a later replay over this history rolls them back on crossing
+    /// the address, before the redo written after it.
+    pub crash_opens: Vec<RedoAddr>,
 }
 
 impl ControlFile {
@@ -134,6 +139,7 @@ impl ControlFile {
             stopped_at: None,
             last_scn: Scn::ZERO,
             incarnation: 1,
+            crash_opens: Vec::new(),
         }
     }
 

@@ -1,30 +1,35 @@
 //! Recovery: crash recovery, single-datafile media recovery, and
 //! incomplete (point-in-time) recovery of the whole database.
 //!
-//! All three share one engine: *replay the redo stream*. They differ only
-//! in where replay starts (checkpoint position, file recovery position, or
-//! backup position), which records they apply (everything, one datafile,
-//! or everything before a stop SCN) and what happens afterwards (open,
-//! online the file, or `RESETLOGS`).
+//! All three replay the redo stream through the one
+//! [`RedoApplier`](crate::apply) that the stand-by's managed recovery
+//! also uses, writing through its foreground block sink (the buffer
+//! cache, on the shared clock). They differ only in where replay starts
+//! (checkpoint position, file recovery position, or backup position),
+//! which records they apply (everything, one datafile, or everything
+//! before a stop SCN) and what happens afterwards (open, online the file,
+//! or `RESETLOGS`). Transactions still unresolved when replay crosses the
+//! address a crash recovery reopened at are rolled back there, where that
+//! crash recovery rolled them back; the rest are rolled back at the end.
+//! Replay never writes redo.
 //!
 //! The paper's Table 5 faults resolve through the first two (no committed
 //! work lost — *complete* recovery); its Table 4 faults require the third
 //! (the damage itself was a committed operation, so the tail of history is
 //! sacrificed — *incomplete* recovery).
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use recobench_sim::SimTime;
-use recobench_vfs::IoKind;
+use recobench_sim::{SimDuration, SimTime};
+use recobench_vfs::{FileId, IoKind};
 
+use crate::apply::{BlockSink, RedoApplier};
 use crate::controlfile::{CkptRecord, SeqLocation};
 use crate::error::{DbError, DbResult};
 use crate::events::{EngineEvent, RecoveryPhase, RecoveryProcedure};
-use crate::redo::{decode_stream_tolerant, RedoOp, RedoRecord};
+use crate::redo::decode_stream_tolerant;
 use crate::server::DbServer;
-use crate::txn::UndoOp;
-use crate::types::{FileNo, RedoAddr, Scn, TxnId};
+use crate::types::{FileNo, RedoAddr, Scn};
 
 /// What a replay pass applied, for reporting and tests.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -36,7 +41,7 @@ pub struct ReplaySummary {
     pub skipped: u64,
     /// Archive files read.
     pub archives_read: u64,
-    /// Highest SCN seen.
+    /// Highest SCN seen or stamped by rollback.
     pub max_scn: Scn,
     /// Highest transaction id seen.
     pub max_txn: u64,
@@ -72,21 +77,10 @@ impl DbServer {
             return Err(DbError::AlreadyOpen);
         }
         self.control_ref()?;
-        // Sessions never survive an instance boundary; deferred undo does
-        // (it belongs to the server, not the instance) so rollbacks parked
-        // on an offline tablespace can still finish after a clean restart.
-        self.sessions.clear();
-        self.lock_grants.clear();
-        let startup_began = self.clock.now();
-        self.clock.advance(self.config.costs.instance_startup);
-        self.clock.advance(self.config.costs.mount_open);
-        self.events.record(
-            self.clock.now(),
-            EngineEvent::PhaseSpan {
-                phase: RecoveryPhase::InstanceStartup,
-                started_at: startup_began,
-            },
-        );
+        // Deferred undo survives the instance boundary (it belongs to the
+        // server, not the instance) so rollbacks parked on an offline
+        // tablespace can still finish after a clean restart.
+        self.start_instance(SimDuration::ZERO);
         let now = self.clock.now();
         let control = self.control_ref()?;
         let crash_time = control.stopped_at.unwrap_or(now);
@@ -99,26 +93,33 @@ impl DbServer {
         let mut recovered_records = 0;
         if !clean {
             let from = self.restore_fractured_datafiles(ckpt.position)?;
-            let summary = self.replay(ReplayOpts {
-                from,
-                available_at: crash_time,
-                stop_scn: None,
-                only_file: None,
-            })?;
+            let opts = ReplayOpts { from, available_at: crash_time, stop_scn: None, only_file: None };
+            let summary = self.replay(opts)?;
             recovered_records = summary.applied;
-            self.finish_crash_recovery(&summary)?;
-            self.events.record(
-                self.clock.now(),
-                EngineEvent::RecoveryCompleted {
-                    procedure: RecoveryProcedure::Crash,
-                    records_applied: summary.applied,
-                    archives_read: summary.archives_read,
-                },
-            );
+            // New redo starts here, after losers rolled back without redo.
+            let reopened_at = self.inst.as_ref().ok_or(DbError::InstanceDown)?.redo.tail();
+            self.control_mut()?.crash_opens.push(reopened_at);
+            self.open_past(summary.max_scn, summary.max_txn)?;
+            self.recovery_completed(RecoveryProcedure::Crash, &summary);
         }
         self.finalize_open()?;
         self.events.record(self.clock.now(), EngineEvent::InstanceOpened { recovered_records });
         Ok(())
+    }
+
+    /// Drops every session (none survives an instance boundary) and
+    /// charges instance startup, mount and `extra`, as one startup span.
+    fn start_instance(&mut self, extra: SimDuration) {
+        self.sessions.clear();
+        self.lock_grants.clear();
+        let began = self.clock.now();
+        self.clock.advance(self.config.costs.instance_startup);
+        self.clock.advance(self.config.costs.mount_open);
+        self.clock.advance(extra);
+        self.events.record(
+            self.clock.now(),
+            EngineEvent::PhaseSpan { phase: RecoveryPhase::InstanceStartup, started_at: began },
+        );
     }
 
     /// A crash can tear the very datafile write it interrupted, leaving a
@@ -135,98 +136,105 @@ impl DbServer {
     /// existing failure mode, and offline files stay media recovery's
     /// business.
     // tidy-entry(recovery)
-    fn restore_fractured_datafiles(&mut self, from: RedoAddr) -> DbResult<RedoAddr> {
-        let files: Vec<(FileNo, recobench_vfs::FileId, String)> = {
-            let inst = self.inst.as_ref().ok_or(DbError::InstanceDown)?;
-            inst.catalog
-                .datafiles
-                .iter()
-                .map(|(no, df)| (*no, df.vfs_id, df.path.clone()))
-                .collect()
-        };
-        let mut from = from;
-        for (file_no, vfs_id, path) in files {
-            let offline = {
-                let control = self.control_ref()?;
-                let df_ts = {
-                    let inst = self.inst.as_ref().ok_or(DbError::InstanceDown)?;
-                    inst.catalog
-                        .datafiles
-                        .get(&file_no)
-                        .ok_or_else(|| DbError::NotFound(format!("datafile {file_no}")))?
-                        .tablespace
-                };
-                control.file_state(file_no).offline || control.is_ts_offline(df_ts)
-            };
-            if offline {
-                continue;
-            }
+    fn restore_fractured_datafiles(&mut self, mut from: RedoAddr) -> DbResult<RedoAddr> {
+        let control = self.control_ref()?;
+        let inst = self.inst.as_ref().ok_or(DbError::InstanceDown)?;
+        let online: Vec<(FileNo, FileId, String)> = inst
+            .catalog
+            .datafiles
+            .iter()
+            .filter(|(no, df)| !control.file_state(**no).offline && !control.is_ts_offline(df.tablespace))
+            .map(|(no, df)| (*no, df.vfs_id, df.path.clone()))
+            .collect();
+        for (file_no, vfs_id, path) in online {
             let readable = self.fs.lock().peek_blocks_written(vfs_id).is_ok();
-            if !readable || !self.scan_for_bad_blocks(vfs_id, &path) {
-                continue;
+            if readable && self.scan_for_bad_blocks(vfs_id, &path) {
+                from = from.min(self.restore_datafile(file_no, vfs_id, &path, "torn by crash")?);
             }
-            let backup = self.backup.as_ref().ok_or_else(|| {
-                DbError::Unrecoverable(format!("datafile {path} torn by crash and no backup exists"))
-            })?;
-            let piece = backup.piece_for(file_no).ok_or_else(|| {
-                DbError::Unrecoverable(format!("no backup piece for torn datafile {path}"))
-            })?;
-            let position = backup.position;
-            let nominal = backup.nominal_bytes_per_file;
-            let backup_disk = self.layout.backup_disk;
-            let began = self.clock.now();
-            {
-                let mut fs = self.fs.lock();
-                let done = fs.restore_into(piece, vfs_id, began)?;
-                let file_disk = fs.meta(vfs_id)?.disk;
-                let d1 = fs.charge_io(backup_disk, IoKind::Read, nominal, began)?;
-                let d2 = fs.charge_io(file_disk, IoKind::Write, nominal, began)?;
-                drop(fs);
-                self.clock.advance_to(done.max(d1).max(d2));
-            }
-            self.events.record(
-                self.clock.now(),
-                EngineEvent::PhaseSpan { phase: RecoveryPhase::MediaRestore, started_at: began },
-            );
-            let inst = self.inst.as_mut().ok_or(DbError::InstanceDown)?;
-            inst.cache.invalidate_file(file_no);
-            from = from.min(position);
         }
         Ok(from)
     }
 
-    fn finish_crash_recovery(&mut self, summary: &ReplaySummary) -> DbResult<()> {
+    /// Restores one damaged datafile from its backup piece and drops its
+    /// stale cached blocks. Returns the backup's redo position, where the
+    /// file's replay must start.
+    fn restore_datafile(
+        &mut self,
+        file_no: FileNo,
+        vfs_id: FileId,
+        path: &str,
+        damage: &str,
+    ) -> DbResult<RedoAddr> {
+        let backup = self.backup.as_ref().ok_or_else(|| {
+            DbError::Unrecoverable(format!("datafile {path} {damage} and no backup exists"))
+        })?;
+        if backup.piece_for(file_no).is_none() {
+            return Err(DbError::Unrecoverable(format!("no backup piece for datafile {path}")));
+        }
+        let position = backup.position;
+        self.restore_from_backup(&[(file_no, vfs_id)])?;
         let inst = self.inst.as_mut().ok_or(DbError::InstanceDown)?;
-        inst.scn = Scn(summary.max_scn.0 + 1_000);
-        inst.txns.bump_past(summary.max_txn);
-        self.txn_floor = self.txn_floor.max(summary.max_txn);
+        inst.cache.invalidate_file(file_no);
+        Ok(position)
+    }
+
+    /// Copies each file's backup piece over it, charging the read on the
+    /// backup disk and the write on the file's disk, and waits for the
+    /// slowest. Files without a piece are left alone.
+    fn restore_from_backup(&mut self, files: &[(FileNo, FileId)]) -> DbResult<()> {
+        let backup = self
+            .backup
+            .as_ref()
+            .ok_or_else(|| DbError::Unrecoverable("restore requires a backup".into()))?;
+        let began = self.clock.now();
+        let mut last = began;
+        {
+            let mut fs = self.fs.lock();
+            for &(file_no, vfs_id) in files {
+                let Some(piece) = backup.piece_for(file_no) else { continue };
+                let done = fs.restore_into(piece, vfs_id, began)?;
+                let file_disk = fs.meta(vfs_id)?.disk;
+                let nominal = backup.nominal_bytes_per_file;
+                let d1 = fs.charge_io(self.layout.backup_disk, IoKind::Read, nominal, began)?;
+                let d2 = fs.charge_io(file_disk, IoKind::Write, nominal, began)?;
+                last = last.max(done).max(d1).max(d2);
+            }
+        }
+        self.clock.advance_to(last);
+        self.events.record(
+            self.clock.now(),
+            EngineEvent::PhaseSpan { phase: RecoveryPhase::MediaRestore, started_at: began },
+        );
+        Ok(())
+    }
+
+    fn recovery_completed(&mut self, procedure: RecoveryProcedure, summary: &ReplaySummary) {
+        let (records_applied, archives_read) = (summary.applied, summary.archives_read);
+        let event = EngineEvent::RecoveryCompleted { procedure, records_applied, archives_read };
+        self.events.record(self.clock.now(), event);
+    }
+
+    /// Moves the instance past everything replay saw: SCNs resume 1,000
+    /// above `max_scn` and transaction ids above `max_txn`, so no new
+    /// change can look older than a replayed one.
+    pub(crate) fn open_past(&mut self, max_scn: Scn, max_txn: u64) -> DbResult<()> {
+        let inst = self.inst.as_mut().ok_or(DbError::InstanceDown)?;
+        inst.scn = Scn(max_scn.0 + 1_000);
+        inst.txns.bump_past(max_txn);
+        self.txn_floor = self.txn_floor.max(max_txn);
         Ok(())
     }
 
     /// Rebuilds indexes and insert cursors, takes the post-recovery
     /// checkpoint, and arms background work.
     pub(crate) fn finalize_open(&mut self) -> DbResult<()> {
-        let objs: Vec<_> = {
-            let inst = self.inst.as_ref().ok_or(DbError::InstanceDown)?;
-            inst.catalog.tables.keys().copied().collect()
-        };
-        let mut tables = 0u64;
-        let mut entries = 0u64;
-        for obj in objs {
-            let defs = {
-                let inst = self.inst.as_ref().ok_or(DbError::InstanceDown)?;
-                inst.catalog.table(obj)?.indexes.clone()
-            };
-            let rows = self.peek_scan(obj).unwrap_or_default();
-            let inst = self.inst.as_mut().ok_or(DbError::InstanceDown)?;
-            entries += inst.rebuild_indexes_for(obj, &defs, rows);
-            tables += 1;
-            let seg = inst.catalog.table(obj)?.segment.clone();
-            let cursor = inst.cursors.entry(obj).or_default();
+        self.rebuild_all_indexes()?;
+        let inst = self.inst.as_mut().ok_or(DbError::InstanceDown)?;
+        for (obj, table) in &inst.catalog.tables {
+            let cursor = inst.cursors.entry(*obj).or_default();
             *cursor = crate::heap::PlacementCursor::new();
-            cursor.seek_last_extent(&seg);
+            cursor.seek_last_extent(&table.segment);
         }
-        self.events.record(self.clock.now(), EngineEvent::IndexesRebuilt { tables, entries });
         let done = self.full_checkpoint()?;
         self.clock.advance_to(done);
         self.next_dbwr_tick = self.clock.now() + self.config.dbwr_tick;
@@ -250,55 +258,21 @@ impl DbServer {
         self.kill_all_sessions();
         self.flush_redo()?;
         let now = self.clock.now();
-        let file_no = {
-            let inst = self.inst.as_ref().ok_or(DbError::InstanceDown)?;
-            inst.catalog.datafile_by_path(path)?
-        };
-        let (vfs_id, damaged) = {
-            let inst = self.inst.as_ref().ok_or(DbError::InstanceDown)?;
-            let df = inst
-                .catalog
+        let (file_no, vfs_id) = {
+            let catalog = &self.inst.as_ref().ok_or(DbError::InstanceDown)?.catalog;
+            let file_no = catalog.datafile_by_path(path)?;
+            let df = catalog
                 .datafiles
                 .get(&file_no)
                 .ok_or_else(|| DbError::NotFound(format!("datafile {file_no}")))?;
-            let fs = self.fs.lock();
-            let damaged = match fs.meta(df.vfs_id) {
-                Ok(m) => m.deleted || m.corrupt,
-                Err(_) => true,
-            };
-            (df.vfs_id, damaged)
+            (file_no, df.vfs_id)
         };
         // Deletion and vfs-level corruption are loud; a torn write or
         // bit-rot is not — the file reads fine and only the per-block CRC
         // knows. Scan before concluding the file is healthy.
-        let damaged = damaged || self.scan_for_bad_blocks(vfs_id, path);
-        let from = if damaged {
-            // Restore the file from the cold backup.
-            let backup = self.backup.as_ref().ok_or_else(|| {
-                DbError::Unrecoverable(format!("datafile {path} lost and no backup exists"))
-            })?;
-            let piece = backup.piece_for(file_no).ok_or_else(|| {
-                DbError::Unrecoverable(format!("no backup piece for datafile {path}"))
-            })?;
-            let position = backup.position;
-            let nominal = backup.nominal_bytes_per_file;
-            let backup_disk = self.layout.backup_disk;
-            {
-                let mut fs = self.fs.lock();
-                let done = fs.restore_into(piece, vfs_id, now)?;
-                let file_disk = fs.meta(vfs_id)?.disk;
-                let d1 = fs.charge_io(backup_disk, IoKind::Read, nominal, now)?;
-                let d2 = fs.charge_io(file_disk, IoKind::Write, nominal, now)?;
-                drop(fs);
-                self.clock.advance_to(done.max(d1).max(d2));
-            }
-            self.events.record(
-                self.clock.now(),
-                EngineEvent::PhaseSpan { phase: RecoveryPhase::MediaRestore, started_at: now },
-            );
-            let inst = self.inst.as_mut().ok_or(DbError::InstanceDown)?;
-            inst.cache.invalidate_file(file_no);
-            position
+        let loud = self.fs.lock().meta(vfs_id).map_or(true, |m| m.deleted || m.corrupt);
+        let from = if loud || self.scan_for_bad_blocks(vfs_id, path) {
+            self.restore_datafile(file_no, vfs_id, path, "lost")?
         } else {
             let control = self.control_ref()?;
             control
@@ -306,12 +280,15 @@ impl DbServer {
                 .recover_from
                 .unwrap_or_else(|| control.effective_checkpoint(now).position)
         };
-        let summary = self.replay(ReplayOpts {
-            from,
-            available_at: self.clock.now(),
-            stop_scn: None,
-            only_file: Some(file_no),
-        })?;
+        let available_at = self.clock.now();
+        let opts = ReplayOpts { from, available_at, stop_scn: None, only_file: Some(file_no) };
+        let summary = self.replay(opts)?;
+        // Rollback stamped SCNs past the replayed redo; the open instance
+        // must issue newer ones.
+        {
+            let inst = self.inst.as_mut().ok_or(DbError::InstanceDown)?;
+            inst.scn = inst.scn.max(summary.max_scn);
+        }
         // Bring the file online and persist its recovered blocks.
         {
             let st = self.control_mut()?.file_state_mut(file_no);
@@ -339,21 +316,14 @@ impl DbServer {
         // can complete now.
         self.drain_deferred_undo();
         self.clock.advance(self.config.costs.admin_command);
-        self.events.record(
-            self.clock.now(),
-            EngineEvent::RecoveryCompleted {
-                procedure: RecoveryProcedure::Media,
-                records_applied: summary.applied,
-                archives_read: summary.archives_read,
-            },
-        );
+        self.recovery_completed(RecoveryProcedure::Media, &summary);
         Ok(summary)
     }
 
     /// Checksum-walks every written block of a datafile. Returns `true`
     /// if any block fails to decode (the file needs a restore), recording
     /// a [`EngineEvent::ChecksumMismatch`] for each CRC failure.
-    fn scan_for_bad_blocks(&mut self, vfs_id: recobench_vfs::FileId, path: &str) -> bool {
+    fn scan_for_bad_blocks(&mut self, vfs_id: FileId, path: &str) -> bool {
         let blocks = {
             let fs = self.fs.lock();
             match fs.peek_blocks_written(vfs_id) {
@@ -379,22 +349,17 @@ impl DbServer {
     }
 
     fn rebuild_all_indexes(&mut self) -> DbResult<()> {
-        let objs: Vec<_> = {
+        let tables: Vec<_> = {
             let inst = self.inst.as_ref().ok_or(DbError::InstanceDown)?;
-            inst.catalog.tables.keys().copied().collect()
+            inst.catalog.tables.iter().map(|(obj, t)| (*obj, t.indexes.clone())).collect()
         };
-        let mut tables = 0u64;
         let mut entries = 0u64;
-        for obj in objs {
-            let defs = {
-                let inst = self.inst.as_ref().ok_or(DbError::InstanceDown)?;
-                inst.catalog.table(obj)?.indexes.clone()
-            };
-            let rows = self.peek_scan(obj).unwrap_or_default();
+        for (obj, defs) in &tables {
+            let rows = self.peek_scan(*obj).unwrap_or_default();
             let inst = self.inst.as_mut().ok_or(DbError::InstanceDown)?;
-            entries += inst.rebuild_indexes_for(obj, &defs, rows);
-            tables += 1;
+            entries += inst.rebuild_indexes_for(*obj, defs, rows);
         }
+        let tables = tables.len() as u64;
         self.events.record(self.clock.now(), EngineEvent::IndexesRebuilt { tables, entries });
         Ok(())
     }
@@ -413,54 +378,19 @@ impl DbServer {
         let backup = self.backup.as_ref().ok_or_else(|| {
             DbError::Unrecoverable("point-in-time recovery requires a backup".into())
         })?;
-        let (b_position, b_scn, b_catalog, pieces, nominal) = (
-            backup.position,
-            backup.scn,
-            Arc::clone(&backup.catalog),
-            backup.pieces.clone(),
-            backup.nominal_bytes_per_file,
-        );
+        let (b_position, b_scn, b_catalog) =
+            (backup.position, backup.scn, Arc::clone(&backup.catalog));
         // The damaged instance is taken down hard, and the new incarnation
         // starts with no clients and no pending undo: everything after the
         // stop point — including deferred rollbacks — is discarded.
         if self.inst.is_some() {
             self.shutdown_abort()?;
         }
-        self.sessions.clear();
-        self.lock_grants.clear();
         self.deferred_undo.clear();
-        let startup_began = self.clock.now();
-        self.clock.advance(self.config.costs.instance_startup);
-        self.clock.advance(self.config.costs.mount_open);
-        self.clock.advance(self.config.costs.admin_command);
-        self.events.record(
-            self.clock.now(),
-            EngineEvent::PhaseSpan {
-                phase: RecoveryPhase::InstanceStartup,
-                started_at: startup_began,
-            },
-        );
-        // Restore every datafile from its backup piece.
-        let backup_disk = self.layout.backup_disk;
-        {
-            let now = self.clock.now();
-            let mut fs = self.fs.lock();
-            let mut last = now;
-            for (file_no, df) in &b_catalog.datafiles {
-                let Some(piece) = pieces.get(file_no) else { continue };
-                let done = fs.restore_into(*piece, df.vfs_id, now)?;
-                let file_disk = fs.meta(df.vfs_id)?.disk;
-                let d1 = fs.charge_io(backup_disk, IoKind::Read, nominal, now)?;
-                let d2 = fs.charge_io(file_disk, IoKind::Write, nominal, now)?;
-                last = last.max(done).max(d1).max(d2);
-            }
-            drop(fs);
-            self.clock.advance_to(last);
-            self.events.record(
-                self.clock.now(),
-                EngineEvent::PhaseSpan { phase: RecoveryPhase::MediaRestore, started_at: now },
-            );
-        }
+        self.start_instance(self.config.costs.admin_command);
+        let files: Vec<(FileNo, FileId)> =
+            b_catalog.datafiles.iter().map(|(no, df)| (*no, df.vfs_id)).collect();
+        self.restore_from_backup(&files)?;
         // Reset runtime state to the backup's view of the world.
         {
             let now = self.clock.now();
@@ -479,28 +409,13 @@ impl DbServer {
             (c.current_group, c.current_seq, c.current_flushed)
         };
         self.inst = Some(self.fresh_instance((*b_catalog).clone(), b_scn, group, seq, flushed));
-        let summary = self.replay(ReplayOpts {
-            from: b_position,
-            available_at: self.clock.now(),
-            stop_scn: Some(stop_scn),
-            only_file: None,
-        })?;
-        {
-            let inst = self.inst.as_mut().ok_or(DbError::InstanceDown)?;
-            inst.scn = Scn(summary.max_scn.0.max(stop_scn.0) + 1_000);
-            inst.txns.bump_past(summary.max_txn);
-            self.txn_floor = self.txn_floor.max(summary.max_txn);
-        }
+        let available_at = self.clock.now();
+        let opts = ReplayOpts { from: b_position, available_at, stop_scn: Some(stop_scn), only_file: None };
+        let summary = self.replay(opts)?;
+        self.open_past(summary.max_scn.max(stop_scn), summary.max_txn)?;
         self.open_resetlogs()?;
         self.finalize_open()?;
-        self.events.record(
-            self.clock.now(),
-            EngineEvent::RecoveryCompleted {
-                procedure: RecoveryProcedure::Incomplete,
-                records_applied: summary.applied,
-                archives_read: summary.archives_read,
-            },
-        );
+        self.recovery_completed(RecoveryProcedure::Incomplete, &summary);
         Ok(summary)
     }
 
@@ -512,34 +427,37 @@ impl DbServer {
             let control = self.control_ref()?;
             control.seqs.keys().next_back().copied().unwrap_or(0) + 1
         };
+        let group_files: Vec<_> = self.control_ref()?.groups.iter().map(|g| g.vfs_id).collect();
         {
-            let group_files: Vec<_> =
-                self.control_ref()?.groups.iter().map(|g| g.vfs_id).collect();
-            {
-                let mut fs = self.fs.lock();
-                for id in group_files {
-                    fs.truncate(id)?;
-                }
+            let mut fs = self.fs.lock();
+            for id in group_files {
+                fs.truncate(id)?;
             }
-            let control = self.control_mut()?;
-            for loc in control.seqs.values_mut() {
-                loc.group = None;
-            }
-            control.seqs.insert(
-                new_seq,
-                SeqLocation {
-                    group: Some(0),
-                    archive: None,
-                    archive_done_at: None,
-                    released_at: None,
-                    end_offset: None,
-                },
-            );
-            control.current_group = 0;
-            control.current_seq = new_seq;
-            control.current_flushed = 0;
-            control.incarnation += 1;
         }
+        self.start_incarnation(new_seq)
+    }
+
+    /// Starts a new incarnation writing log sequence `new_seq` into group
+    /// 0; no earlier sequence stays online.
+    pub(crate) fn start_incarnation(&mut self, new_seq: u64) -> DbResult<()> {
+        let control = self.control_mut()?;
+        for loc in control.seqs.values_mut() {
+            loc.group = None;
+        }
+        control.seqs.insert(
+            new_seq,
+            SeqLocation {
+                group: Some(0),
+                archive: None,
+                archive_done_at: None,
+                released_at: None,
+                end_offset: None,
+            },
+        );
+        control.current_group = 0;
+        control.current_seq = new_seq;
+        control.current_flushed = 0;
+        control.incarnation += 1;
         let overhead = self.config.costs.redo_overhead_bytes;
         let inst = self.inst.as_mut().ok_or(DbError::InstanceDown)?;
         inst.redo = crate::redo::RedoState::new(0, new_seq, 0, overhead);
@@ -547,14 +465,18 @@ impl DbServer {
     }
 
     // ------------------------------------------------------------------
-    // The replay engine
+    // The replay loop
     // ------------------------------------------------------------------
 
+    /// Reads the redo chain from `opts.from` and feeds it to a fresh
+    /// [`RedoApplier`], then rolls back what never resolved.
     fn replay(&mut self, opts: ReplayOpts) -> DbResult<ReplaySummary> {
-        let mut summary = ReplaySummary::default();
-        let mut live: BTreeMap<TxnId, Vec<UndoOp>> = BTreeMap::new();
-        let end_seq = self.control_ref()?.current_seq;
+        let mut applier = RedoApplier::default();
+        let control = self.control_ref()?;
+        applier.note_crash_opens(control.crash_opens.iter().copied().filter(|&a| a > opts.from));
+        let end_seq = control.current_seq;
         let overhead = self.config.costs.redo_overhead_bytes;
+        let mut archives_read = 0;
         let mut stopped = false;
         for seq in opts.from.seq..=end_seq {
             if stopped {
@@ -571,40 +493,31 @@ impl DbServer {
             };
             let start_offset = if seq == opts.from.seq { opts.from.offset } else { 0 };
             let scan_began = self.clock.now();
-            let (segments, from_archive) = if let Some(group) = loc.group {
-                let vfs_id = self
-                    .control_ref()?
-                    .groups
-                    .get(group)
-                    .ok_or_else(|| {
+            let (file, from_archive) = match (loc.group, loc.archive, loc.archive_done_at) {
+                (Some(group), _, _) => {
+                    let group = self.control_ref()?.groups.get(group).ok_or_else(|| {
                         DbError::Unrecoverable(format!("log seq {seq} maps to a missing redo group"))
-                    })?
-                    .vfs_id;
-                let now = self.clock.now();
-                let mut fs = self.fs.lock();
-                let (done, segs) = fs.read_from(vfs_id, start_offset, now)?;
-                drop(fs);
-                self.clock.advance_to(done);
-                (segs, false)
-            } else if let (Some(archive), Some(done_at)) = (loc.archive, loc.archive_done_at) {
-                if done_at > opts.available_at {
-                    return Err(DbError::Unrecoverable(format!(
-                        "log seq {seq} was not archived in time"
-                    )));
+                    })?;
+                    (group.vfs_id, false)
                 }
-                self.clock.advance(self.config.costs.archive_file_overhead);
-                let now = self.clock.now();
-                let mut fs = self.fs.lock();
-                let (done, segs) = fs.read_from(archive, start_offset, now)?;
-                drop(fs);
-                self.clock.advance_to(done);
-                summary.archives_read += 1;
-                (segs, true)
-            } else {
-                return Err(DbError::Unrecoverable(format!(
-                    "redo for log seq {seq} was overwritten and never archived"
-                )));
+                (None, Some(archive), Some(done_at)) => {
+                    if done_at > opts.available_at {
+                        return Err(DbError::Unrecoverable(format!(
+                            "log seq {seq} was not archived in time"
+                        )));
+                    }
+                    self.clock.advance(self.config.costs.archive_file_overhead);
+                    archives_read += 1;
+                    (archive, true)
+                }
+                _ => {
+                    return Err(DbError::Unrecoverable(format!(
+                        "redo for log seq {seq} was overwritten and never archived"
+                    )))
+                }
             };
+            let (done, segments) = self.fs.lock().read_from(file, start_offset, self.clock.now())?;
+            self.clock.advance_to(done);
             self.events.record(
                 self.clock.now(),
                 EngineEvent::PhaseSpan { phase: RecoveryPhase::RedoScan, started_at: scan_began },
@@ -617,12 +530,12 @@ impl DbServer {
             if truncated && seq != end_seq {
                 return Err(DbError::Unrecoverable(format!("log seq {seq} is corrupt")));
             }
-            let applied_before = summary.applied;
-            let skipped_before = summary.skipped;
+            let applied_before = applier.applied;
+            let skipped_before = applier.skipped;
             let apply_began = self.clock.now();
             for (offset, rec) in records {
                 if offset < start_offset {
-                    summary.skipped += 1;
+                    applier.skipped += 1;
                     self.clock.advance(self.config.costs.cpu_skip_record);
                     continue;
                 }
@@ -633,7 +546,24 @@ impl DbServer {
                     }
                 }
                 let addr = RedoAddr { seq, offset };
-                self.replay_one(&rec, addr, opts.only_file, &mut live, &mut summary)?;
+                // Test-only broken-engine mode: silently drop the next
+                // armed row-change record, exactly the class of bug the
+                // differential oracle exists to catch. Markers are never
+                // dropped — a lost commit marker fails loudly (rollback of
+                // committed work), a lost row change is the silent
+                // corruption we want to prove detectable.
+                #[cfg(any(test, feature = "sabotage"))]
+                {
+                    if self.sabotage_skip_redo > 0
+                        && rec.target_file().is_some()
+                        && RedoApplier::wants(&rec, opts.only_file)
+                    {
+                        self.sabotage_skip_redo -= 1;
+                        applier.skip(self, BlockSink::Foreground, &rec, addr)?;
+                        continue;
+                    }
+                }
+                applier.apply(self, BlockSink::Foreground, &rec, addr, opts.only_file)?;
             }
             self.events.record(
                 self.clock.now(),
@@ -643,22 +573,14 @@ impl DbServer {
                 self.clock.now(),
                 EngineEvent::SequenceReplayed {
                     seq,
-                    applied: summary.applied - applied_before,
-                    skipped: summary.skipped - skipped_before,
+                    applied: applier.applied - applied_before,
+                    skipped: applier.skipped - skipped_before,
                     archived: from_archive,
                 },
             );
         }
-        // Roll back transactions that never resolved.
-        let unresolved: Vec<(TxnId, Vec<UndoOp>)> = live.into_iter().collect();
         let rollback_began = self.clock.now();
-        for (_txn, ops) in unresolved.iter().rev() {
-            for op in ops.iter().rev() {
-                self.apply_recovery_undo(op)?;
-            }
-        }
-        summary.rolled_back = unresolved.iter().filter(|(_, ops)| !ops.is_empty()).count() as u64;
-        if summary.rolled_back > 0 {
+        if applier.rollback_live(self, BlockSink::Foreground)? > 0 {
             self.events.record(
                 self.clock.now(),
                 EngineEvent::PhaseSpan {
@@ -667,173 +589,14 @@ impl DbServer {
                 },
             );
         }
-        Ok(summary)
-    }
-
-    fn replay_one(
-        &mut self,
-        rec: &RedoRecord,
-        addr: RedoAddr,
-        only_file: Option<FileNo>,
-        live: &mut BTreeMap<TxnId, Vec<UndoOp>>,
-        summary: &mut ReplaySummary,
-    ) -> DbResult<()> {
-        summary.max_scn = summary.max_scn.max(rec.scn);
-        if let Some(t) = rec.txn {
-            summary.max_txn = summary.max_txn.max(t.0);
-        }
-        let relevant = match (only_file, rec.target_file()) {
-            (None, _) => true,
-            (Some(f), Some(target)) => f == target,
-            // Markers and dictionary changes are always processed.
-            (Some(_), None) => true,
-        };
-        if !relevant {
-            summary.skipped += 1;
-            self.clock.advance(self.config.costs.cpu_skip_record);
-            return Ok(());
-        }
-        // Test-only broken-engine mode: silently drop the next armed
-        // row-change record, exactly the class of bug the differential
-        // oracle exists to catch. Markers are never dropped — a lost
-        // commit marker fails loudly (rollback of committed work), a lost
-        // row change is the silent corruption we want to prove detectable.
-        #[cfg(any(test, feature = "sabotage"))]
-        {
-            if self.sabotage_skip_redo > 0
-                && matches!(rec.op, RedoOp::Insert { .. } | RedoOp::Update { .. } | RedoOp::Delete { .. })
-            {
-                self.sabotage_skip_redo -= 1;
-                summary.skipped += 1;
-                self.clock.advance(self.config.costs.cpu_skip_record);
-                return Ok(());
-            }
-        }
-        match (&rec.op, rec.txn) {
-            (RedoOp::Commit, Some(t)) | (RedoOp::Rollback, Some(t)) => {
-                live.remove(&t);
-                summary.applied += 1;
-            }
-            (RedoOp::Catalog(change), _) => {
-                if only_file.is_none() {
-                    let inst = self.inst.as_mut().ok_or(DbError::InstanceDown)?;
-                    inst.catalog.apply(change);
-                }
-                summary.applied += 1;
-            }
-            (RedoOp::Insert { obj, rid, row }, txn) => {
-                let key = (rid.file, rid.block);
-                let scn = rec.scn;
-                let row2 = row.clone();
-                let applied = self.with_block_for_recovery(key, |img| {
-                    if img.last_scn < scn {
-                        img.put(rid.slot, row2, scn);
-                        true
-                    } else {
-                        false
-                    }
-                })?;
-                if applied {
-                    let inst = self.inst.as_mut().ok_or(DbError::InstanceDown)?;
-                    inst.cache.mark_dirty(key, addr, self.clock.now());
-                }
-                if let Some(t) = txn {
-                    live.entry(t).or_default().push(UndoOp::UndoInsert { obj: *obj, rid: *rid });
-                }
-                summary.applied += 1;
-            }
-            (RedoOp::Update { obj, rid, before, after }, txn) => {
-                let key = (rid.file, rid.block);
-                let scn = rec.scn;
-                let after2 = after.clone();
-                let applied = self.with_block_for_recovery(key, |img| {
-                    if img.last_scn < scn {
-                        img.put(rid.slot, after2, scn);
-                        true
-                    } else {
-                        false
-                    }
-                })?;
-                if applied {
-                    let inst = self.inst.as_mut().ok_or(DbError::InstanceDown)?;
-                    inst.cache.mark_dirty(key, addr, self.clock.now());
-                }
-                if let Some(t) = txn {
-                    live.entry(t).or_default().push(UndoOp::UndoUpdate {
-                        obj: *obj,
-                        rid: *rid,
-                        before: before.clone(),
-                    });
-                }
-                summary.applied += 1;
-            }
-            (RedoOp::Delete { obj, rid, before }, txn) => {
-                let key = (rid.file, rid.block);
-                let scn = rec.scn;
-                let applied = self.with_block_for_recovery(key, |img| {
-                    if img.last_scn < scn {
-                        img.remove(rid.slot, scn);
-                        true
-                    } else {
-                        false
-                    }
-                })?;
-                if applied {
-                    let inst = self.inst.as_mut().ok_or(DbError::InstanceDown)?;
-                    inst.cache.mark_dirty(key, addr, self.clock.now());
-                }
-                if let Some(t) = txn {
-                    live.entry(t).or_default().push(UndoOp::UndoDelete {
-                        obj: *obj,
-                        rid: *rid,
-                        before: before.clone(),
-                    });
-                }
-                summary.applied += 1;
-            }
-            (RedoOp::Commit, None) | (RedoOp::Rollback, None) => {
-                summary.applied += 1;
-            }
-        }
-        self.clock.advance(self.config.costs.cpu_apply_record);
-        Ok(())
-    }
-
-    /// Applies an undo operation during recovery (no redo is written; the
-    /// post-recovery checkpoint makes the result durable).
-    fn apply_recovery_undo(&mut self, op: &UndoOp) -> DbResult<()> {
-        type UndoAction = Box<dyn FnOnce(&mut crate::page::BlockImage, Scn)>;
-        let (key, action): ((FileNo, u32), UndoAction) =
-            match op {
-                UndoOp::UndoInsert { rid, .. } => {
-                    let slot = rid.slot;
-                    ((rid.file, rid.block), Box::new(move |img, scn| {
-                        img.remove(slot, scn);
-                    }))
-                }
-                UndoOp::UndoUpdate { rid, before, .. } | UndoOp::UndoDelete { rid, before, .. } => {
-                    let slot = rid.slot;
-                    let before = before.clone();
-                    ((rid.file, rid.block), Box::new(move |img, scn| {
-                        img.put(slot, before, scn);
-                    }))
-                }
-            };
-        let scn = {
-            let inst = self.inst.as_mut().ok_or(DbError::InstanceDown)?;
-            inst.next_scn()
-        };
-        let addr = {
-            let inst = self.inst.as_ref().ok_or(DbError::InstanceDown)?;
-            inst.redo.tail()
-        };
-        // The file may be gone (dropped tablespace replay); skip silently.
-        if self.with_block_for_recovery(key, |img| action(img, scn)).is_ok() {
-            let inst = self.inst.as_mut().ok_or(DbError::InstanceDown)?;
-            inst.cache.mark_dirty(key, addr, self.clock.now());
-        }
-        self.clock.advance(self.config.costs.cpu_apply_record);
-        Ok(())
+        Ok(ReplaySummary {
+            applied: applier.applied,
+            skipped: applier.skipped,
+            archives_read,
+            max_scn: applier.max_scn,
+            max_txn: applier.max_txn,
+            rolled_back: applier.rolled_back,
+        })
     }
 }
 
@@ -1052,6 +815,72 @@ mod tests {
         assert!(summary.applied > 0);
         let t_again = srv.table_id("T").unwrap();
         assert_eq!(srv.peek_scan(t_again).unwrap().len(), 15);
+    }
+
+    /// Commits `A`, backs up, leaves a loser updating the row to `B` in
+    /// durable redo, crashes and recovers (the row reads `A`), then
+    /// commits `C` on the row. Returns the table and the row.
+    fn loser_then_crash_then_commit(srv: &mut DbServer) -> (ObjectId, crate::types::RowId) {
+        let t = setup_table(srv);
+        let s = srv.connect().unwrap();
+        let rid = srv.insert(s, t, row(1, "A")).unwrap();
+        srv.commit(s).unwrap();
+        srv.take_cold_backup().unwrap();
+        let loser = srv.connect().unwrap();
+        srv.update(loser, t, rid, row(1, "B")).unwrap();
+        // Another session's commit flushes the loser's change to redo.
+        let s = srv.connect().unwrap();
+        srv.insert(s, t, row(2, "flush")).unwrap();
+        srv.commit(s).unwrap();
+        srv.shutdown_abort().unwrap();
+        srv.startup().unwrap();
+        assert_eq!(srv.get_row(t, rid).unwrap(), row(1, "A"), "crash recovery undid the loser");
+        let s = srv.connect().unwrap();
+        srv.update(s, t, rid, row(1, "C")).unwrap();
+        srv.commit(s).unwrap();
+        (t, rid)
+    }
+
+    #[test]
+    fn crash_recovery_records_where_the_instance_reopened() {
+        let mut srv = server(true);
+        let t = setup_table(&mut srv);
+        let s = srv.connect().unwrap();
+        srv.insert(s, t, row(1, "x")).unwrap();
+        srv.commit(s).unwrap();
+        srv.shutdown_abort().unwrap();
+        srv.startup().unwrap();
+        let tail = srv.inst.as_ref().unwrap().redo.tail();
+        assert_eq!(srv.control_ref().unwrap().crash_opens, vec![tail]);
+    }
+
+    #[test]
+    fn pitr_past_a_crash_keeps_rows_committed_after_it() {
+        let mut srv = server(true);
+        let (t, rid) = loser_then_crash_then_commit(&mut srv);
+        let stop = srv.current_scn().next();
+        srv.recover_database_until(stop).unwrap();
+        assert_eq!(srv.get_row(t, rid).unwrap(), row(1, "C"));
+    }
+
+    #[test]
+    fn media_recovery_past_a_crash_keeps_rows_committed_after_it() {
+        let mut srv = server(true);
+        let (t, rid) = loser_then_crash_then_commit(&mut srv);
+        let victim = srv.inst.as_ref().unwrap().catalog.datafiles[&rid.file].path.clone();
+        srv.os_delete_file(&victim).unwrap();
+        srv.offline_datafile(&victim).unwrap();
+        srv.recover_datafile(&victim).unwrap();
+        assert_eq!(srv.get_row(t, rid).unwrap(), row(1, "C"));
+    }
+
+    #[test]
+    fn a_second_crash_keeps_rows_committed_after_the_first() {
+        let mut srv = server(true);
+        let (t, rid) = loser_then_crash_then_commit(&mut srv);
+        srv.shutdown_abort().unwrap();
+        srv.startup().unwrap();
+        assert_eq!(srv.get_row(t, rid).unwrap(), row(1, "C"));
     }
 
     #[test]

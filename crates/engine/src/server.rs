@@ -329,22 +329,28 @@ impl DbServer {
         if self.control.is_some() {
             return Err(DbError::AlreadyExists(format!("database {}", self.name)));
         }
-        let mut groups = Vec::new();
-        {
-            let mut fs = self.fs.lock();
-            for i in 0..self.config.redo_groups {
-                let path = format!("/u03/{}_redo{:02}.log", self.name, i + 1);
-                let id = fs.create_append_file(&path, self.layout.redo_disk, FileKind::Redo)?;
-                groups.push(LogGroup { path, vfs_id: id });
-            }
-        }
         let catalog = Catalog::new();
-        let mut control = ControlFile::new(&self.name, groups, Arc::new(catalog.clone()));
-        control.clean_shutdown = false;
-        self.control = Some(control);
+        self.create_control_file(&catalog)?;
         self.inst = Some(self.fresh_instance(catalog, Scn::ZERO, 0, 1, 0));
         self.clock.advance(self.config.costs.mount_open);
         self.next_dbwr_tick = self.clock.now() + self.config.dbwr_tick;
+        Ok(())
+    }
+
+    /// Creates the online redo log groups and a control file over
+    /// `catalog`, not yet cleanly shut down.
+    pub(crate) fn create_control_file(&mut self, catalog: &Catalog) -> DbResult<()> {
+        let mut groups = Vec::new();
+        let mut fs = self.fs.lock();
+        for i in 0..self.config.redo_groups {
+            let path = format!("/u03/{}_redo{:02}.log", self.name, i + 1);
+            let id = fs.create_append_file(&path, self.layout.redo_disk, FileKind::Redo)?;
+            groups.push(LogGroup { path, vfs_id: id });
+        }
+        drop(fs);
+        let mut control = ControlFile::new(&self.name, groups, Arc::new(catalog.clone()));
+        control.clean_shutdown = false;
+        self.control = Some(control);
         Ok(())
     }
 
@@ -873,21 +879,6 @@ impl DbServer {
             }
         }
         self.ensure_resident(key)?;
-        let inst = self.inst.as_mut().ok_or(DbError::InstanceDown)?;
-        let img = inst
-            .cache
-            .get_mut(key)
-            .ok_or(RecoveryError::BlockNotResident { file: key.0, block: key.1 })?;
-        Ok(f(img))
-    }
-
-    /// Block access for recovery code paths: ignores offline state.
-    pub(crate) fn with_block_for_recovery<R>(
-        &mut self,
-        key: BlockKey,
-        f: impl FnOnce(&mut BlockImage) -> R,
-    ) -> DbResult<R> {
-        self.ensure_resident_raw(key)?;
         let inst = self.inst.as_mut().ok_or(DbError::InstanceDown)?;
         let img = inst
             .cache

@@ -9,6 +9,12 @@
 //! applying what it has received, rolls back unresolved transactions and
 //! opens — in near-constant time, independent of the fault type.
 //!
+//! Archives are applied by the same [`RedoApplier`] as the primary's own
+//! recovery, through its background block sink: the stand-by's disks do
+//! the work and the shared clock never moves. Each shipped archive carries
+//! the primary's crash-recovery open addresses inside it, so the applier
+//! rolls the primary's crash losers back where the primary did.
+//!
 //! Whatever redo never made it into an archive is gone: committed
 //! transactions whose records sat in the primary's current online group
 //! are lost, which is exactly what Figure 7 measures as a function of the
@@ -21,17 +27,16 @@ use bytes::Bytes;
 use recobench_sim::{SimClock, SimDuration, SimTime};
 use recobench_vfs::{FileKind, IoKind};
 
+use crate::apply::{BlockSink, RedoApplier};
 use crate::catalog::Catalog;
 use crate::config::InstanceConfig;
-use crate::controlfile::{CkptRecord, ControlFile, LogGroup, SeqLocation};
+use crate::controlfile::CkptRecord;
 use crate::error::{DbError, DbResult, RecoveryError};
 use crate::events::{EngineEvent, RecoveryPhase};
 use crate::layout::DiskLayout;
-use crate::page::BlockImage;
-use crate::redo::{decode_stream, RedoOp, RedoRecord};
+use crate::redo::decode_stream;
 use crate::server::DbServer;
-use crate::txn::UndoOp;
-use crate::types::{RedoAddr, Scn, TxnId};
+use crate::types::{RedoAddr, Scn};
 
 /// A shipped archive retained on the stand-by's archive disk so a
 /// downstream (cascaded) stand-by can ship from here instead of from the
@@ -40,8 +45,11 @@ use crate::types::{RedoAddr, Scn, TxnId};
 pub(crate) struct ShippedArchive {
     pub(crate) segments: Vec<Bytes>,
     pub(crate) bytes: u64,
-    /// Instant the copy finished landing on this stand-by's archive disk
-    /// (a downstream stand-by can ship it from then on).
+    /// The primary's crash-recovery open addresses inside this sequence.
+    pub(crate) crash_opens: Vec<RedoAddr>,
+    /// Instant the copy can be shipped onward: once retained here, when it
+    /// finished landing on this stand-by's archive disk; while in flight,
+    /// when it became readable upstream.
     pub(crate) ready_at: SimTime,
 }
 
@@ -51,15 +59,12 @@ pub struct StandbyServer {
     server: DbServer,
     applied_seq: u64,
     apply_done_at: SimTime,
-    live: BTreeMap<TxnId, Vec<UndoOp>>,
-    max_scn: Scn,
-    max_txn: u64,
+    /// Replay state; its last commit SCN is the exact boundary of the
+    /// committed prefix this stand-by would open with.
+    applier: RedoApplier,
     activated: bool,
     /// Shipped copies retained for cascaded downstream stand-bys.
     pub(crate) received: BTreeMap<u64, ShippedArchive>,
-    /// Highest commit SCN seen in applied redo: the exact boundary of the
-    /// committed prefix this stand-by would open with.
-    last_commit_scn: Scn,
     /// Extra network/link lag added to every ship (topology tuning).
     ship_lag: SimDuration,
     /// Extra delay before each archive's background apply begins.
@@ -171,26 +176,15 @@ impl StandbyServer {
         server.datafile_total = catalog.datafiles.len();
         // Control file: checkpoint at the backup position; redo groups for
         // life after activation.
-        let mut groups = Vec::new();
-        {
-            let mut fs = server.fs.lock();
-            for i in 0..server.config.redo_groups {
-                let path = format!("/u03/{}_redo{:02}.log", name, i + 1);
-                let id = fs.create_append_file(&path, server.layout.redo_disk, FileKind::Redo)?;
-                groups.push(LogGroup { path, vfs_id: id });
-            }
-        }
-        let snapshot = Arc::new(catalog.clone());
-        let mut control = ControlFile::new(name, groups, Arc::clone(&snapshot));
+        server.create_control_file(&catalog)?;
+        let control = server.control_mut()?;
         control.checkpoints = vec![CkptRecord {
             position: backup.position,
             scn: backup.scn,
             complete_at: last,
-            catalog: snapshot,
+            catalog: Arc::new(catalog.clone()),
         }];
-        control.clean_shutdown = false;
         control.seqs.clear();
-        server.control = Some(control);
         let inst = server.fresh_instance(catalog, backup.scn, 0, backup.position.seq, 0);
         server.inst = Some(inst);
         server.managed_recovery = true;
@@ -198,12 +192,9 @@ impl StandbyServer {
             server,
             applied_seq: backup.position.seq.saturating_sub(1),
             apply_done_at: last,
-            live: BTreeMap::new(),
-            max_scn: backup.scn,
-            max_txn: 0,
+            applier: RedoApplier::from_scn(backup.scn),
             activated: false,
             received: BTreeMap::new(),
-            last_commit_scn: backup.scn,
             ship_lag: SimDuration::ZERO,
             apply_delay: SimDuration::ZERO,
             corrupt_next_ship: false,
@@ -237,7 +228,7 @@ impl StandbyServer {
     /// activation this stand-by opens with exactly the commits at or below
     /// this SCN (plus the backup it was instantiated from).
     pub fn last_commit_scn(&self) -> Scn {
-        self.last_commit_scn
+        self.applier.last_commit_scn
     }
 
     /// Tunes this stand-by's topology lags: `ship_lag` is extra network
@@ -278,14 +269,13 @@ impl StandbyServer {
             }
             // Ship: read on the primary's archive disk, network latency,
             // write on the stand-by's archive disk.
-            let (segments, bytes) = {
-                let mut pfs = primary.fs().lock();
-                let segments = pfs.peek_all(archive)?;
-                let bytes = pfs.meta(archive)?.size_bytes;
-                let _ = pfs.charge_io(primary.layout.archive_disk, IoKind::Read, bytes, done_at)?;
-                (segments, bytes)
-            };
-            self.ingest(next, segments, bytes, done_at)?;
+            let mut pfs = primary.fs().lock();
+            let segments = pfs.peek_all(archive)?;
+            let bytes = pfs.meta(archive)?.size_bytes;
+            pfs.charge_io(primary.layout.archive_disk, IoKind::Read, bytes, done_at)?;
+            drop(pfs);
+            let crash_opens = control.crash_opens.iter().filter(|a| a.seq == next).copied().collect();
+            self.ingest(next, ShippedArchive { segments, bytes, crash_opens, ready_at: done_at })?;
         }
         Ok(())
     }
@@ -318,41 +308,26 @@ impl StandbyServer {
             if copy.ready_at + self.ship_lag > now {
                 break;
             }
-            let (segments, bytes, available_at) = (copy.segments.clone(), copy.bytes, copy.ready_at);
-            {
-                let mut ufs = upstream.server.fs().lock();
-                let _ = ufs.charge_io(
-                    upstream.server.layout.archive_disk,
-                    IoKind::Read,
-                    bytes,
-                    available_at,
-                )?;
-            }
-            self.ingest(next, segments, bytes, available_at)?;
+            let copy = copy.clone();
+            let disk = upstream.server.layout.archive_disk;
+            upstream.server.fs().lock().charge_io(disk, IoKind::Read, copy.bytes, copy.ready_at)?;
+            self.ingest(next, copy)?;
         }
         Ok(())
     }
 
-    /// Lands one shipped archive on this stand-by: charges the archive-disk
-    /// write (after the configured ship lag), decodes, applies in the
-    /// background and retains the copy for any downstream stand-by.
-    fn ingest(
-        &mut self,
-        next: u64,
-        mut segments: Vec<Bytes>,
-        bytes: u64,
-        available_at: SimTime,
-    ) -> DbResult<()> {
-        let ship_done = {
-            let mut fs = self.server.fs.lock();
-            let arrived =
-                available_at + self.server.config.costs.standby_ship_latency + self.ship_lag;
-            fs.charge_io(self.server.layout.archive_disk, IoKind::Write, bytes, arrived)?
-        };
+    /// Lands one shipped archive, readable upstream from its `ready_at`,
+    /// on this stand-by: charges the archive-disk write (after the
+    /// configured ship lag), decodes, applies in the background and
+    /// retains the copy for any downstream stand-by.
+    fn ingest(&mut self, next: u64, mut copy: ShippedArchive) -> DbResult<()> {
+        let arrived = copy.ready_at + self.server.config.costs.standby_ship_latency + self.ship_lag;
+        let disk = self.server.layout.archive_disk;
+        let ship_done = self.server.fs.lock().charge_io(disk, IoKind::Write, copy.bytes, arrived)?;
         self.archives_shipped += 1;
         if self.corrupt_next_ship {
             self.corrupt_next_ship = false;
-            if let Some(first) = segments.first_mut() {
+            if let Some(first) = copy.segments.first_mut() {
                 let mut broken = first.as_ref().to_vec();
                 // Flip the first record's op tag (after the scn + txn
                 // u64s); a flipped tag is never a valid opcode, so the
@@ -365,164 +340,27 @@ impl StandbyServer {
         }
         // Apply in the background: serialized after previous applies.
         let overhead = self.server.config.costs.redo_overhead_bytes;
-        let records = decode_stream(&segments, overhead)
+        let records = decode_stream(&copy.segments, overhead)
             .map_err(|_| RecoveryError::ShippedArchiveCorrupt { seq: next })?;
         let apply_start = ship_done.max(self.apply_done_at) + self.apply_delay;
         let nrecords = records.len() as u64;
         let cpu = self.server.config.costs.cpu_apply_record * nrecords;
         self.apply_done_at = apply_start + cpu;
-        self.apply_records(next, &records, apply_start)?;
+        self.applier.note_crash_opens(copy.crash_opens.iter().copied());
+        let undo_addr = RedoAddr { seq: self.applied_seq, offset: u64::MAX };
+        let sink = BlockSink::Background { at: apply_start, undo_addr };
+        for (offset, rec) in &records {
+            let addr = RedoAddr { seq: next, offset: *offset };
+            self.applier.apply(&mut self.server, sink, rec, addr, None)?;
+        }
+        self.records_applied = self.applier.applied;
         self.applied_seq = next;
-        self.received.insert(next, ShippedArchive { segments, bytes, ready_at: ship_done });
+        copy.ready_at = ship_done;
+        self.received.insert(next, copy);
         self.server.events.record(
             self.apply_done_at,
             EngineEvent::StandbyArchiveApplied { seq: next, records: nrecords },
         );
-        Ok(())
-    }
-
-    fn apply_records(&mut self, seq: u64, records: &[(u64, RedoRecord)], at: SimTime) -> DbResult<()> {
-        for (offset, rec) in records {
-            let addr = RedoAddr { seq, offset: *offset };
-            self.apply_one(rec, addr, at)?;
-        }
-        Ok(())
-    }
-
-    fn apply_one(&mut self, rec: &RedoRecord, addr: RedoAddr, at: SimTime) -> DbResult<()> {
-        self.max_scn = self.max_scn.max(rec.scn);
-        if let Some(t) = rec.txn {
-            self.max_txn = self.max_txn.max(t.0);
-        }
-        if matches!(rec.op, RedoOp::Commit) {
-            self.last_commit_scn = self.last_commit_scn.max(rec.scn);
-        }
-        match (&rec.op, rec.txn) {
-            (RedoOp::Commit, Some(t)) | (RedoOp::Rollback, Some(t)) => {
-                self.live.remove(&t);
-            }
-            (RedoOp::Catalog(change), _) => {
-                let inst = self.server.inst.as_mut().ok_or(DbError::InstanceDown)?;
-                inst.catalog.apply(change);
-            }
-            (RedoOp::Insert { obj, rid, row }, txn) => {
-                let key = (rid.file, rid.block);
-                let scn = rec.scn;
-                let row = row.clone();
-                Self::mutate_block(&mut self.server, key, at, addr, move |img| {
-                    if img.last_scn < scn {
-                        img.put(rid.slot, row, scn);
-                        true
-                    } else {
-                        false
-                    }
-                })?;
-                if let Some(t) = txn {
-                    self.live.entry(t).or_default().push(UndoOp::UndoInsert { obj: *obj, rid: *rid });
-                }
-            }
-            (RedoOp::Update { obj, rid, before, after }, txn) => {
-                let key = (rid.file, rid.block);
-                let scn = rec.scn;
-                let after = after.clone();
-                Self::mutate_block(&mut self.server, key, at, addr, move |img| {
-                    if img.last_scn < scn {
-                        img.put(rid.slot, after, scn);
-                        true
-                    } else {
-                        false
-                    }
-                })?;
-                if let Some(t) = txn {
-                    self.live.entry(t).or_default().push(UndoOp::UndoUpdate {
-                        obj: *obj,
-                        rid: *rid,
-                        before: before.clone(),
-                    });
-                }
-            }
-            (RedoOp::Delete { obj, rid, before }, txn) => {
-                let key = (rid.file, rid.block);
-                let scn = rec.scn;
-                Self::mutate_block(&mut self.server, key, at, addr, move |img| {
-                    if img.last_scn < scn {
-                        img.remove(rid.slot, scn);
-                        true
-                    } else {
-                        false
-                    }
-                })?;
-                if let Some(t) = txn {
-                    self.live.entry(t).or_default().push(UndoOp::UndoDelete {
-                        obj: *obj,
-                        rid: *rid,
-                        before: before.clone(),
-                    });
-                }
-            }
-            (RedoOp::Commit, None) | (RedoOp::Rollback, None) => {}
-        }
-        self.records_applied += 1;
-        Ok(())
-    }
-
-    /// Background block mutation: charges stand-by disk *busy time* but
-    /// never advances the shared clock (another machine is doing this
-    /// work).
-    fn mutate_block(
-        server: &mut DbServer,
-        key: (crate::types::FileNo, u32),
-        at: SimTime,
-        addr: RedoAddr,
-        f: impl FnOnce(&mut BlockImage) -> bool,
-    ) -> DbResult<()> {
-        let vfs_id = {
-            let inst = server.inst.as_ref().ok_or(DbError::InstanceDown)?;
-            match inst.catalog.datafiles.get(&key.0) {
-                Some(df) => df.vfs_id,
-                // The file was dropped by a replayed DDL; skip.
-                None => return Ok(()),
-            }
-        };
-        let resident = {
-            let inst = server.inst.as_ref().ok_or(DbError::InstanceDown)?;
-            inst.cache.contains(key)
-        };
-        if !resident {
-            let img = {
-                let mut fs = server.fs.lock();
-                let bytes = fs.peek_block(vfs_id, key.1 as u64)?;
-                let disk = fs.meta(vfs_id)?.disk;
-                fs.charge_io(disk, IoKind::Read, bytes.len() as u64, at)?;
-                BlockImage::decode(bytes)
-                    .map_err(|_| DbError::Unrecoverable("stand-by block corrupt".into()))?
-            };
-            let evicted = {
-                let inst = server.inst.as_mut().ok_or(DbError::InstanceDown)?;
-                inst.cache.insert(key, img)
-            };
-            if let Some(ev) = evicted {
-                if ev.dirty.is_some() {
-                    let ev_vfs = {
-                        let inst = server.inst.as_ref().ok_or(DbError::InstanceDown)?;
-                        inst.catalog.datafiles.get(&ev.key.0).map(|d| d.vfs_id)
-                    };
-                    if let Some(ev_vfs) = ev_vfs {
-                        let mut fs = server.fs.lock();
-                        // tidy-allow(write-site-coverage): standby redo-apply eviction targets the standby's own fs; the crash sweep drives the primary only
-                        fs.write_block(ev_vfs, ev.key.1 as u64, ev.img.encode(), at)?;
-                    }
-                }
-            }
-        }
-        let inst = server.inst.as_mut().ok_or(DbError::InstanceDown)?;
-        let img = inst
-            .cache
-            .get_mut(key)
-            .ok_or(RecoveryError::BlockNotResident { file: key.0, block: key.1 })?;
-        if f(img) {
-            inst.cache.mark_dirty(key, addr, at);
-        }
         Ok(())
     }
 
@@ -546,63 +384,12 @@ impl StandbyServer {
         clock.advance_to(self.apply_done_at);
         clock.advance(self.server.config.costs.standby_activation);
         // Roll back transactions with no commit record in the applied redo.
-        let unresolved: Vec<(TxnId, Vec<UndoOp>)> = std::mem::take(&mut self.live).into_iter().collect();
-        let now = clock.now();
-        for (_t, ops) in unresolved.iter().rev() {
-            for op in ops.iter().rev() {
-                let scn = self.max_scn.next();
-                self.max_scn = scn;
-                let addr = RedoAddr { seq: self.applied_seq, offset: u64::MAX };
-                match op {
-                    UndoOp::UndoInsert { rid, .. } => {
-                        let key = (rid.file, rid.block);
-                        let slot = rid.slot;
-                        let _ = Self::mutate_block(&mut self.server, key, now, addr, move |img| {
-                            img.remove(slot, scn);
-                            true
-                        });
-                    }
-                    UndoOp::UndoUpdate { rid, before, .. } | UndoOp::UndoDelete { rid, before, .. } => {
-                        let key = (rid.file, rid.block);
-                        let slot = rid.slot;
-                        let before = before.clone();
-                        let _ = Self::mutate_block(&mut self.server, key, now, addr, move |img| {
-                            img.put(slot, before, scn);
-                            true
-                        });
-                    }
-                }
-            }
-        }
+        let undo_addr = RedoAddr { seq: self.applied_seq, offset: u64::MAX };
+        let sink = BlockSink::Background { at: clock.now(), undo_addr };
+        self.applier.rollback_live(&mut self.server, sink)?;
         // Become a normal, open database in a fresh incarnation.
-        let new_seq = self.applied_seq + 1;
-        {
-            let control = self.server.control_mut()?;
-            control.seqs.insert(
-                new_seq,
-                SeqLocation {
-                    group: Some(0),
-                    archive: None,
-                    archive_done_at: None,
-                    released_at: None,
-                    end_offset: None,
-                },
-            );
-            control.current_group = 0;
-            control.current_seq = new_seq;
-            control.current_flushed = 0;
-            control.incarnation += 1;
-        }
-        {
-            let overhead = self.server.config.costs.redo_overhead_bytes;
-            let max_txn = self.max_txn;
-            let scn = Scn(self.max_scn.0 + 1_000);
-            let inst = self.server.inst.as_mut().ok_or(DbError::InstanceDown)?;
-            inst.redo = crate::redo::RedoState::new(0, new_seq, 0, overhead);
-            inst.scn = scn;
-            inst.txns.bump_past(max_txn);
-            self.server.txn_floor = self.server.txn_floor.max(max_txn);
-        }
+        self.server.start_incarnation(self.applied_seq + 1)?;
+        self.server.open_past(self.applier.max_scn, self.applier.max_txn)?;
         self.server.managed_recovery = false;
         self.server.finalize_open()?;
         self.activated = true;
@@ -782,6 +569,40 @@ mod tests {
         sb2.activate().unwrap();
         let rows = sb2.server().peek_scan(t).unwrap();
         assert!(rows.len() >= 10, "backup rows present on the cascaded stand-by");
+    }
+
+    #[test]
+    fn standby_keeps_rows_committed_after_a_primary_crash() {
+        let (mut p, t) = primary_with_data();
+        let clock = Arc::clone(p.clock());
+        let mut sb =
+            StandbyServer::instantiate(&p, "STBY", Arc::clone(&clock), DiskLayout::four_disk(), cfg(64))
+                .unwrap();
+        let (rid, _) = p.peek_scan(t).unwrap()[0].clone();
+        // A loser updates the row; another commit flushes it to redo.
+        let loser = p.connect().unwrap();
+        p.update(loser, t, rid, Row::new(vec![Value::U64(0), Value::from("B")])).unwrap();
+        let s = p.connect().unwrap();
+        p.insert(s, t, Row::new(vec![Value::U64(50), Value::from("flush")])).unwrap();
+        p.commit(s).unwrap();
+        p.shutdown_abort().unwrap();
+        p.startup().unwrap();
+        let s = p.connect().unwrap();
+        let c = Row::new(vec![Value::U64(0), Value::from("C")]);
+        p.update(s, t, rid, c.clone()).unwrap();
+        p.commit(s).unwrap();
+        // Enough work afterwards that the sequences holding both ship.
+        for i in 100..300 {
+            p.insert(s, t, Row::new(vec![Value::U64(i), Value::from("workload-row-payload")]))
+                .unwrap();
+            p.commit(s).unwrap();
+            sb.sync(&p).unwrap();
+        }
+        assert!(sb.applied_seq() > 1, "the crash's sequence must have shipped");
+        p.shutdown_abort().unwrap();
+        sb.sync(&p).unwrap();
+        sb.activate().unwrap();
+        assert_eq!(sb.server_mut().get_row(t, rid).unwrap(), c);
     }
 
     #[test]

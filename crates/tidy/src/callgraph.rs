@@ -5,8 +5,8 @@
 //!
 //! ## Known approximations (also documented in DESIGN.md §12)
 //!
-//! * **Name-based resolution.** `self.m(…)` resolves through the
-//!   enclosing `impl` type; `recv.m(…)` resolves through the receiver's
+//! * **Name-based resolution.** `self.m(…)` and `Self::f(…)` resolve
+//!   through the enclosing `impl` type; `recv.m(…)` resolves through the receiver's
 //!   inferred type when the dataflow-lite pass can infer one, and
 //!   otherwise falls back to "the one workspace method with that name" —
 //!   unless the name is a common `std` method (`insert`, `push`, …),
@@ -284,6 +284,9 @@ impl Model {
     pub fn type_env(&self, fn_idx: usize) -> BTreeMap<String, String> {
         let node = &self.fns[fn_idx];
         let mut env = BTreeMap::new();
+        if let Some(t) = &node.item.impl_type {
+            env.insert("Self".to_string(), t.clone());
+        }
         for (pname, pty) in &node.item.params {
             let ty = if pname == "self" {
                 Some(pty.clone()).filter(|t| !t.is_empty())
@@ -367,7 +370,10 @@ impl Model {
         {
             // `Type::assoc(…)` — yields the method's inner return type,
             // or the type itself for constructors like `new`.
-            let ty = self.dealias(&head.text);
+            let ty = match env.get("Self") {
+                Some(t) if head.text == "Self" => t.clone(),
+                _ => self.dealias(&head.text),
+            };
             let m = toks.get(j + 3)?.text.clone();
             j += 4;
             if toks.get(j).is_some_and(|t| t.is_punct('(')) {
@@ -452,7 +458,7 @@ impl Model {
             let site = if prev.is_some_and(|t| t.is_punct('.')) {
                 self.resolve_method(fn_idx, &env, toks, i, &name, body.start)
             } else if prev.is_some_and(|t| t.is_punct(':')) {
-                self.resolve_path(toks, i, &name)
+                self.resolve_path(toks, i, &name, node.item.impl_type.as_deref())
             } else if prev.is_some_and(|t| t.is_ident("fn") || t.is_punct('!')) {
                 continue; // nested fn def / macro body — not a call
             } else {
@@ -519,14 +525,24 @@ impl Model {
         }
     }
 
-    fn resolve_path(&self, toks: &[Tok], name_tok: usize, name: &str) -> CallSite {
-        // `qual::name(` — a type method (`LockTable::new`) or a
-        // module-qualified free fn (`checkpoint::write_dirty`).
+    fn resolve_path(
+        &self,
+        toks: &[Tok],
+        name_tok: usize,
+        name: &str,
+        impl_type: Option<&str>,
+    ) -> CallSite {
+        // `qual::name(` — a type method (`LockTable::new`), a
+        // module-qualified free fn (`checkpoint::write_dirty`), or
+        // `Self::name(` inside an impl, which names the impl's type.
         let qual = name_tok
             .checked_sub(3)
             .map(|k| &toks[k])
             .filter(|t| t.kind == TokKind::Ident)
-            .map(|t| t.text.clone());
+            .map(|t| match (t.text.as_str(), impl_type) {
+                ("Self", Some(ty)) => ty.to_string(),
+                _ => t.text.clone(),
+            });
         let targets = match &qual {
             Some(q) if q.chars().next().is_some_and(char::is_uppercase) => {
                 let ty = self.dealias(q);

@@ -102,6 +102,10 @@ impl Lint for ErrorSwallow {
                         continue;
                     }
                     let start = stmt_start(toks, site.tok, body.start);
+                    // `return f();` / `break f();` hand the result on.
+                    if toks[start].is_ident("return") || toks[start].is_ident("break") {
+                        continue;
+                    }
                     // The statement must consist only of the call chain
                     // (receiver + call), i.e. start..close is the site.
                     let leading_ok = toks[start..site.tok].iter().all(|t| {

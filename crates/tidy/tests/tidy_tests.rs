@@ -49,6 +49,8 @@ fn fixtures_produce_exact_diagnostics() {
         ("crates/engine/src/server.rs", 54, "lock-discipline"),
         ("crates/engine/src/server.rs", 57, "error-swallow"),
         ("crates/engine/src/server.rs", 58, "error-swallow"),
+        // `let _ = Self::probe(self);`, resolved through the impl type.
+        ("crates/engine/src/server.rs", 69, "error-swallow"),
         // Stale manifest entries anchor on the manifest itself.
         ("crates/oracle/tests/write_site_coverage.json", 0, "write-site-coverage"),
         ("crates/sim/src/clock.rs", 3, "determinism"),
@@ -107,6 +109,7 @@ fn messages_name_the_offending_construct() {
     // Error swallowing names the discarded fallible callee.
     assert!(msg("crates/engine/src/server.rs", 57).contains("DbServer::append_record"));
     assert!(msg("crates/engine/src/server.rs", 58).contains("`.ok();`"));
+    assert!(msg("crates/engine/src/server.rs", 69).contains("DbServer::probe"));
     // The stale manifest entry points at the regeneration command.
     assert!(msg("crates/oracle/tests/write_site_coverage.json", 0)
         .contains("server.rs:999 matches no current write site"));
