@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use recobench_engine::catalog::IndexDef;
-use recobench_engine::codec::Writer;
+use recobench_engine::codec::{crc32, Writer};
 use recobench_engine::redo::{decode_stream, RedoOp, RedoRecord};
 use recobench_engine::row::{encode_key, encode_key_into, Row, Value};
 use recobench_engine::page::BlockImage;
@@ -97,6 +97,11 @@ fn bench_codecs(c: &mut Criterion) {
     g.bench_function("block_decode_20rows", |b| {
         b.iter(|| BlockImage::decode(std::hint::black_box(img_bytes.clone())).unwrap())
     });
+    // The block checksum every write-out and read pays, over one 8 KiB
+    // block's worth of bytes.
+    let page: Vec<u8> = (0..8192u32).map(|i| (i.wrapping_mul(0x9e37_79b9) >> 24) as u8).collect();
+    g.throughput(Throughput::Bytes(page.len() as u64));
+    g.bench_function("crc32_8k", |b| b.iter(|| crc32(std::hint::black_box(&page))));
     g.finish();
 }
 

@@ -8,7 +8,6 @@
 
 use recobench_sim::SimTime;
 
-use crate::codec::Writer;
 use crate::fasthash::{self, FastMap};
 use crate::page::BlockImage;
 use crate::types::{FileNo, RedoAddr};
@@ -323,8 +322,8 @@ impl BufferCache {
 
     /// Keys and bookkeeping of every dirty frame matching `pred`, in key
     /// order, *without* copying any block image. Pair with
-    /// [`BufferCache::encode_block_into`] and [`BufferCache::clear_dirty`]
-    /// to write them out allocation-free.
+    /// [`BufferCache::peek`] and [`BufferCache::clear_dirty`] to encode
+    /// them straight out of their frames.
     pub fn dirty_matching<F>(&self, mut pred: F) -> Vec<(BlockKey, DirtyInfo)>
     where
         F: FnMut(BlockKey, &DirtyInfo) -> bool,
@@ -335,18 +334,6 @@ impl BufferCache {
             .collect();
         out.sort_by_key(|(k, _)| *k);
         out
-    }
-
-    /// Encodes the resident block at `key` into `w` and returns `true`,
-    /// or returns `false` if the block is not resident.
-    pub fn encode_block_into(&self, key: BlockKey, w: &mut Writer) -> bool {
-        match self.peek(key) {
-            Some(img) => {
-                img.encode_into(w);
-                true
-            }
-            None => false,
-        }
     }
 
     /// Clears the dirty flag of a resident block (after its image reached

@@ -20,6 +20,7 @@ use recobench_vfs::SimFs;
 
 use crate::cache::{BufferCache, DirtyInfo};
 use crate::catalog::Catalog;
+use crate::page::BlockImage;
 use crate::types::FileNo;
 
 /// Result of a checkpoint write-out.
@@ -67,11 +68,8 @@ where
     for (key, info) in batch {
         cache.clear_dirty(key);
         let Some(df) = catalog.datafiles.get(&key.0) else { continue };
-        let mut w = crate::codec::Writer::new();
-        if !cache.encode_block_into(key, &mut w) {
-            continue;
-        }
-        match fs.write_block(df.vfs_id, key.1 as u64, w.into_bytes(), now) {
+        let Some(bytes) = cache.peek(key).map(BlockImage::encode) else { continue };
+        match fs.write_block(df.vfs_id, key.1 as u64, bytes, now) {
             Ok((done, ())) => {
                 complete_at = complete_at.max(done);
                 blocks += 1;

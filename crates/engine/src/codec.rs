@@ -42,19 +42,79 @@ impl DecodeError {
     }
 }
 
-/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`), computed
-/// bitwise — dependency-free and fast enough for the simulator's block
-/// sizes. This is the checksum stored in v2 block images.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xffff_ffffu32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
+/// The reflected IEEE 802.3 CRC-32 polynomial.
+const CRC32_POLY: u32 = 0xedb8_8320;
+
+/// Slicing-by-16 lookup tables, built at compile time (16 KiB of
+/// read-only data). `CRC32_TABLES[0][b]` is the CRC register after
+/// shifting byte `b` through eight bitwise steps; table `k` advances that
+/// by `k` further zero bytes, so sixteen lookups fold sixteen input bytes
+/// at once.
+const CRC32_TABLES: [[u32; 256]; 16] = crc32_tables();
+
+const fn crc32_tables() -> [[u32; 256]; 16] {
+    let mut t = [[0u32; 256]; 16];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC32_POLY & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        t[0][i] = crc;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`, init and final
+/// xor `0xFFFFFFFF`), table-driven slicing-by-16 over 16-byte chunks with
+/// a byte-at-a-time tail. This is the checksum stored in v2 block images;
+/// every block write and read pays it once over ~8 KiB.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let [t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11, t12, t13, t14, t15] = &CRC32_TABLES;
+    let (chunks, tail) = bytes.as_chunks::<16>();
+    let mut crc = 0xffff_ffffu32;
+    for &[b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15] in chunks {
+        let [c0, c1, c2, c3] = crc.to_le_bytes();
+        crc = lookup(t15, b0 ^ c0)
+            ^ lookup(t14, b1 ^ c1)
+            ^ lookup(t13, b2 ^ c2)
+            ^ lookup(t12, b3 ^ c3)
+            ^ lookup(t11, b4)
+            ^ lookup(t10, b5)
+            ^ lookup(t9, b6)
+            ^ lookup(t8, b7)
+            ^ lookup(t7, b8)
+            ^ lookup(t6, b9)
+            ^ lookup(t5, b10)
+            ^ lookup(t4, b11)
+            ^ lookup(t3, b12)
+            ^ lookup(t2, b13)
+            ^ lookup(t1, b14)
+            ^ lookup(t0, b15);
+    }
+    for &b in tail {
+        crc = (crc >> 8) ^ lookup(t0, b ^ crc as u8);
     }
     !crc
+}
+
+/// Entry `b` of one CRC slicing table.
+fn lookup(table: &[u32; 256], b: u8) -> u32 {
+    // tidy-allow(panic-freedom): a u8 index is always below the table's 256 entries
+    table[usize::from(b)]
 }
 
 /// Result alias for decoding.
@@ -75,6 +135,13 @@ impl Writer {
     /// Creates an empty writer.
     pub fn new() -> Self {
         Writer { buf: Vec::with_capacity(128) }
+    }
+
+    /// Creates an empty writer with room for `n` bytes, for encodes whose
+    /// size is bounded up front (a block image), so the buffer never
+    /// regrows mid-encode.
+    pub fn with_capacity(n: usize) -> Self {
+        Writer { buf: Vec::with_capacity(n) }
     }
 
     /// Creates a writer that appends to `buf`, reusing its allocation.
@@ -336,6 +403,50 @@ mod tests {
         assert_eq!(crc32(b""), 0);
         // One flipped bit changes the checksum.
         assert_ne!(crc32(&[0b0000_0001]), crc32(&[0b0000_0000]));
+    }
+
+    /// Reference bit-at-a-time CRC-32. The table form must match it on
+    /// every input, or stored block images would stop verifying.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xffff_ffffu32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (CRC32_POLY & mask);
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_matches_bitwise_on_every_tail_length_and_offset() {
+        // Deterministic bytes; every length 0..=64 (each tail mod 16 and
+        // mod 8 several times over) at every start offset 0..16.
+        let data: Vec<u8> = (0..96u32).map(|i| (i.wrapping_mul(0x9e37_79b9) >> 24) as u8).collect();
+        for start in 0..16 {
+            for len in 0..=64 {
+                let s = &data[start..start + len];
+                assert_eq!(crc32(s), crc32_bitwise(s), "start {start} len {len}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn crc32_equals_bitwise_oracle(
+            data in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..=9000),
+            cut in proptest::arbitrary::any::<u64>(),
+        ) {
+            proptest::prop_assert_eq!(crc32(&data), crc32_bitwise(&data));
+            // An unaligned sub-slice: any start, any end after it.
+            let start = (cut % (data.len() as u64 + 1)) as usize;
+            let end = start + ((cut >> 32) % ((data.len() - start) as u64 + 1)) as usize;
+            let sub = &data[start..end];
+            proptest::prop_assert_eq!(crc32(sub), crc32_bitwise(sub));
+        }
     }
 
     #[test]

@@ -132,9 +132,11 @@ impl BlockImage {
         prev
     }
 
-    /// Encodes the block for storage.
+    /// Encodes the block for storage into a buffer sized up front: the
+    /// used-bytes accounting (header plus per-row overhead) bounds the
+    /// encoded length, so the image never regrows mid-encode.
     pub fn encode(&self) -> Bytes {
-        let mut w = Writer::new();
+        let mut w = Writer::with_capacity(self.used_bytes + CHECKSUM_HEADER);
         self.encode_into(&mut w);
         w.into_bytes()
     }
@@ -215,6 +217,7 @@ impl Default for BlockImage {
 mod tests {
     use super::*;
     use crate::row::Value;
+    use proptest::prelude::*;
 
     fn row(n: u64) -> Row {
         Row::new(vec![Value::U64(n), Value::from("payload")])
@@ -331,5 +334,96 @@ mod tests {
         let encoded = b.encode();
         let torn = encoded.slice(0..encoded.len() / 2);
         assert!(BlockImage::decode(torn).unwrap_err().is_checksum_mismatch());
+    }
+
+    /// A fixed 20-row block touching every value tag.
+    fn golden_block() -> BlockImage {
+        let mut b = BlockImage::empty();
+        for i in 0..20u16 {
+            let n = u64::from(i);
+            let r = Row::new(vec![
+                Value::U64(n * 1_000_003),
+                Value::I64(-(n as i64) * 77),
+                Value::from(format!("customer-{i:02}").as_str()),
+                Value::Null,
+                Value::Bytes((0..i as u8).collect()),
+            ]);
+            b.put(i, r, Scn(100 + n));
+        }
+        b
+    }
+
+    #[test]
+    fn golden_block_image_bytes_are_pinned() {
+        // Pins the stored image of a fixed block: any change to the block
+        // format, the row codec or the CRC shows up here as a changed
+        // length, header CRC or whole-image CRC.
+        let b = golden_block();
+        let encoded = b.encode();
+        assert!(encoded.len() <= b.used_bytes() + super::CHECKSUM_HEADER, "encode capacity bound");
+        assert_eq!(encoded.len(), GOLDEN_LEN);
+        assert_eq!(&encoded[..2], &[super::BLOCK_MAGIC, BLOCK_FORMAT]);
+        let stored = u32::from_be_bytes([encoded[2], encoded[3], encoded[4], encoded[5]]);
+        assert_eq!(stored, GOLDEN_PAYLOAD_CRC, "payload CRC {stored:#010x}");
+        assert_eq!(crc32(&encoded), GOLDEN_IMAGE_CRC, "image CRC {:#010x}", crc32(&encoded));
+        assert_eq!(BlockImage::decode(encoded).unwrap(), b);
+    }
+
+    // Computed with the bitwise reference CRC-32: stored images must not
+    // change with how the CRC is computed.
+    const GOLDEN_LEN: usize = 1168;
+    const GOLDEN_PAYLOAD_CRC: u32 = 0x2ed0_5c25;
+    const GOLDEN_IMAGE_CRC: u32 = 0xa6a2_c3db;
+
+    /// Arbitrary bytes in three shapes: raw, v2-headed with a *valid* CRC
+    /// (so the body parser runs), and legacy (no header).
+    fn decoder_input() -> impl Strategy<Value = Vec<u8>> {
+        let bytes = || proptest::collection::vec(any::<u8>(), 0..600);
+        prop_oneof![
+            bytes(),
+            bytes().prop_map(|payload| {
+                let mut v = vec![super::BLOCK_MAGIC, BLOCK_FORMAT];
+                v.extend_from_slice(&crc32(&payload).to_be_bytes());
+                v.extend_from_slice(&payload);
+                v
+            }),
+            bytes().prop_map(|mut v| {
+                if let Some(first) = v.first_mut() {
+                    *first = 0;
+                }
+                v
+            }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn decode_never_panics_on_arbitrary_bytes(input in decoder_input()) {
+            // Ok or a typed error; a panic fails the test. Whatever does
+            // decode re-encodes to an image that decodes back to itself.
+            match BlockImage::decode(Bytes::from(input)) {
+                Ok(img) => prop_assert_eq!(BlockImage::decode(img.encode()), Ok(img)),
+                Err(e) => prop_assert!(!e.context.is_empty()),
+            }
+        }
+
+        #[test]
+        fn any_single_payload_bit_flip_fails_the_checksum(
+            rows in 1..20u16,
+            at in any::<u64>(),
+            bit in 0..8u8,
+        ) {
+            let mut b = BlockImage::empty();
+            for slot in 0..rows {
+                b.put(slot, row(u64::from(slot)), Scn(u64::from(slot) + 1));
+            }
+            let mut image = b.encode().to_vec();
+            let payload = image.len() - super::CHECKSUM_HEADER;
+            image[super::CHECKSUM_HEADER + (at % payload as u64) as usize] ^= 1 << bit;
+            let err = BlockImage::decode(Bytes::from(image)).unwrap_err();
+            prop_assert!(err.is_checksum_mismatch());
+        }
     }
 }

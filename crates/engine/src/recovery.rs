@@ -147,8 +147,8 @@ impl DbServer {
             .map(|(no, df)| (*no, df.vfs_id, df.path.clone()))
             .collect();
         for (file_no, vfs_id, path) in online {
-            let readable = self.fs.lock().peek_blocks_written(vfs_id).is_ok();
-            if readable && self.scan_for_bad_blocks(vfs_id, &path) {
+            // An unreadable file is loud damage: not this pass's to restore.
+            if self.scan_for_bad_blocks(vfs_id, &path) == Some(true) {
                 from = from.min(self.restore_datafile(file_no, vfs_id, &path, "torn by crash")?);
             }
         }
@@ -271,7 +271,8 @@ impl DbServer {
         // bit-rot is not — the file reads fine and only the per-block CRC
         // knows. Scan before concluding the file is healthy.
         let loud = self.fs.lock().meta(vfs_id).map_or(true, |m| m.deleted || m.corrupt);
-        let from = if loud || self.scan_for_bad_blocks(vfs_id, path) {
+        // A file unreadable at the vfs level is damaged by definition.
+        let from = if loud || self.scan_for_bad_blocks(vfs_id, path).unwrap_or(true) {
             self.restore_datafile(file_no, vfs_id, path, "lost")?
         } else {
             let control = self.control_ref()?;
@@ -320,18 +321,12 @@ impl DbServer {
         Ok(summary)
     }
 
-    /// Checksum-walks every written block of a datafile. Returns `true`
-    /// if any block fails to decode (the file needs a restore), recording
-    /// a [`EngineEvent::ChecksumMismatch`] for each CRC failure.
-    fn scan_for_bad_blocks(&mut self, vfs_id: FileId, path: &str) -> bool {
-        let blocks = {
-            let fs = self.fs.lock();
-            match fs.peek_blocks_written(vfs_id) {
-                Ok(b) => b,
-                // Unreadable at the vfs level — damaged by definition.
-                Err(_) => return true,
-            }
-        };
+    /// Checksum-walks every written block of a datafile. Returns
+    /// `Some(true)` if any block fails to decode (the file needs a
+    /// restore), recording a [`EngineEvent::ChecksumMismatch`] for each
+    /// CRC failure, and `None` if the file cannot be read at all.
+    fn scan_for_bad_blocks(&mut self, vfs_id: FileId, path: &str) -> Option<bool> {
+        let blocks = self.fs.lock().peek_blocks_written(vfs_id).ok()?;
         let mut bad = false;
         for (block, bytes) in blocks {
             if let Err(e) = crate::page::BlockImage::decode(bytes) {
@@ -345,7 +340,7 @@ impl DbServer {
                 }
             }
         }
-        bad
+        Some(bad)
     }
 
     fn rebuild_all_indexes(&mut self) -> DbResult<()> {
